@@ -128,7 +128,7 @@ class PolicySafetyChecker:
             return CheckResult(
                 self.name, SKIP, f"{adapter.system} has no endorsement policy to audit"
             )
-        from repro.core.transaction import Endorsement, Transaction
+        from repro.core.transaction import Transaction
 
         ca = adapter.net.ca
         policy = adapter.net.policy
@@ -139,10 +139,7 @@ class PolicySafetyChecker:
             for txn_id, wire in sorted(wires.items()):
                 audited += 1
                 transaction = Transaction.from_wire(wire)
-                digest = transaction.digest()
-                payload = Endorsement.signed_payload_from_digest(
-                    transaction.transaction_id, digest
-                )
+                _, payload = transaction.signed_payloads()
                 valid_endorsers = set()
                 for endorsement in transaction.endorsements:
                     enrolled = (

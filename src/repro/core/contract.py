@@ -26,6 +26,7 @@ from repro.crdt.operation import (
     TYPE_ORSET,
     Operation,
 )
+from repro.crypto.hashing import FrozenList
 from repro.errors import ContractError
 
 
@@ -127,8 +128,9 @@ class ContractContext:
     def write_set(self) -> List[Operation]:
         return list(self._write_set)
 
-    def write_set_wire(self) -> List[Dict[str, Any]]:
-        return [op.to_wire() for op in self._write_set]
+    def write_set_wire(self) -> FrozenList:
+        """The write-set in (frozen) wire form, as endorsements carry it."""
+        return FrozenList([op.to_wire() for op in self._write_set])
 
 
 def modify_function(func: Callable) -> Callable:

@@ -342,18 +342,12 @@ class Organization:
         proposal = transaction.proposal
         if not self.ca.is_enrolled(proposal.client_id) or self.ca.is_revoked(proposal.client_id):
             return False, "unknown or revoked client"
-        digest = transaction.digest()
-        client_payload = Transaction.signed_payload_from_digest(
-            transaction.transaction_id, digest
-        )
-        if not self.ca.verify(proposal.client_id, client_payload, transaction.client_signature):
-            return False, "invalid client signature"
-        # Verify against the *transaction's* write-set digest: this both
+        # Both payloads cover the *transaction's* write-set digest: this
         # checks each endorser's signature and proves the client did not
         # swap in different operations.
-        endorsement_payload = Endorsement.signed_payload_from_digest(
-            transaction.transaction_id, digest
-        )
+        client_payload, endorsement_payload = transaction.signed_payloads()
+        if not self.ca.verify(proposal.client_id, client_payload, transaction.client_signature):
+            return False, "invalid client signature"
         valid_endorsers: set[str] = set()
         for endorsement in transaction.endorsements:
             certificate_ok = (

@@ -9,6 +9,11 @@
   endorsements, signed by the client.
 * :class:`Receipt` — the signed hash of the block containing the
   committed transaction (``RCPT`` for valid, ``REJ`` for invalid).
+
+Proposals, endorsements and transactions have frozen wire forms
+(:class:`~repro.crypto.hashing.FrozenDict`): every organization that
+receives a transaction holds the same immutable wire, which keeps its
+canonical encoding and the one :class:`Transaction` decoded from it.
 """
 
 from __future__ import annotations
@@ -18,7 +23,7 @@ from typing import Any, Dict, List, Mapping, Tuple
 
 from repro.crdt.clock import OpClock
 from repro.crdt.operation import Operation
-from repro.crypto.hashing import sha256_hex
+from repro.crypto.hashing import FrozenDict, freeze, sha256_hex
 from repro.crypto.identity import Identity
 
 
@@ -37,14 +42,14 @@ class Proposal:
         """Unique id: the client id plus the client's Lamport counter."""
         return f"{self.client_id}:{self.clock.counter}"
 
-    def to_wire(self) -> Dict[str, Any]:
-        return {
-            "client_id": self.client_id,
-            "contract_id": self.contract_id,
-            "function": self.function,
-            "params": self.params,
-            "clock": self.clock.to_wire(),
-        }
+    def to_wire(self) -> FrozenDict:
+        return FrozenDict(
+            client_id=self.client_id,
+            contract_id=self.contract_id,
+            function=self.function,
+            params=self.params,
+            clock=self.clock.to_wire(),
+        )
 
     @classmethod
     def from_wire(cls, wire: Mapping[str, Any]) -> "Proposal":
@@ -52,7 +57,7 @@ class Proposal:
             client_id=wire["client_id"],
             contract_id=wire["contract_id"],
             function=wire["function"],
-            params=dict(wire["params"]),
+            params=freeze(wire["params"]),
             clock=OpClock.from_wire(wire["clock"]),
         )
 
@@ -96,34 +101,33 @@ class Endorsement:
             signature=identity.sign(payload),
         )
 
-    def to_wire(self) -> Dict[str, Any]:
-        # Memoized: wire payloads are immutable by convention, so the
-        # same dict can be handed out every time — which also lets the
-        # canonical-bytes fragment cache serve repeat serializations.
+    def to_wire(self) -> FrozenDict:
+        # Memoized: the same frozen dict is handed out every time, so
+        # its stored canonical fragment serves every later encoding.
         wire = self.__dict__.get("_wire_cache")
         if wire is None:
-            wire = {
-                "org_id": self.org_id,
-                "proposal_id": self.proposal_id,
-                "write_set": self.write_set,
-                "signature": self.signature,
-            }
+            wire = FrozenDict(
+                org_id=self.org_id,
+                proposal_id=self.proposal_id,
+                write_set=self.write_set,
+                signature=self.signature,
+            )
             object.__setattr__(self, "_wire_cache", wire)
         return wire
 
     @classmethod
     def from_wire(cls, wire: Mapping[str, Any]) -> "Endorsement":
-        # The wire write-set is shared, not copied: wire payloads are
-        # immutable by convention (tamper paths build new lists), and
-        # sharing lets the canonical-bytes fragment cache serve every
-        # later digest of this write-set from one serialization.
+        # The wire write-set is shared, not copied. A frozen write-set
+        # keeps its encoding, so every later digest of it is one
+        # lookup; a plain one (a tampered or hand-built wire) is
+        # rendered afresh each time.
         endorsement = cls(
             org_id=wire["org_id"],
             proposal_id=wire["proposal_id"],
             write_set=wire["write_set"],
             signature=wire["signature"],
         )
-        if type(wire) is dict:
+        if isinstance(wire, dict):
             object.__setattr__(endorsement, "_wire_cache", wire)
         return endorsement
 
@@ -146,11 +150,32 @@ class Transaction:
 
         Validation hashes the same write-set for the client signature
         and once per endorsement; caching keeps that O(1) in hashing.
+        A transaction decoded from a frozen wire is shared by every
+        organization, so this runs once network-wide.
         """
         cached = self.__dict__.get("_digest_cache")
         if cached is None:
             cached = write_set_digest(self.write_set)
             object.__setattr__(self, "_digest_cache", cached)
+        return cached
+
+    def signed_payloads(self) -> Tuple[FrozenDict, FrozenDict]:
+        """(client payload, endorsement payload) over :meth:`digest`.
+
+        The two payloads signature checks verify against, built once
+        per transaction object as frozen dicts so their encodings are
+        computed once too.
+        """
+        cached = self.__dict__.get("_payloads_cache")
+        if cached is None:
+            digest = self.digest()
+            cached = (
+                FrozenDict(self.signed_payload_from_digest(self.transaction_id, digest)),
+                FrozenDict(
+                    Endorsement.signed_payload_from_digest(self.transaction_id, digest)
+                ),
+            )
+            object.__setattr__(self, "_payloads_cache", cached)
         return cached
 
     @staticmethod
@@ -178,39 +203,55 @@ class Transaction:
             client_signature=client_identity.sign(payload),
         )
 
-    def operations(self) -> List[Operation]:
-        """Parse the write-set into CRDT operations (validates them)."""
-        return [Operation.from_wire(wire) for wire in self.write_set]
+    def operations(self) -> Tuple[Operation, ...]:
+        """Parse the write-set into CRDT operations (validates them).
 
-    def to_wire(self) -> Dict[str, Any]:
+        Memoized: validation and commit both need the operations.
+        """
+        cached = self.__dict__.get("_operations_cache")
+        if cached is None:
+            cached = tuple(Operation.from_wire(wire) for wire in self.write_set)
+            object.__setattr__(self, "_operations_cache", cached)
+        return cached
+
+    def to_wire(self) -> FrozenDict:
         # Memoized (and pre-seeded by from_wire): one transaction's wire
-        # form is serialized for the client signature, gossiped to every
-        # organization, and embedded in every block that logs it — the
-        # shared dict turns all of those into fragment-cache hits.
+        # form is gossiped to every organization and embedded in every
+        # block that logs it; the frozen dict renders its canonical
+        # fragment once for all of those block hashes.
         wire = self.__dict__.get("_wire_cache")
         if wire is None:
-            wire = {
-                "proposal": self.proposal.to_wire(),
-                "write_set": self.write_set,
-                "endorsements": [e.to_wire() for e in self.endorsements],
-                "client_signature": self.client_signature,
-            }
+            wire = FrozenDict(
+                proposal=self.proposal.to_wire(),
+                write_set=self.write_set,
+                endorsements=[e.to_wire() for e in self.endorsements],
+                client_signature=self.client_signature,
+            )
             object.__setattr__(self, "_wire_cache", wire)
         return wire
 
     @classmethod
     def from_wire(cls, wire: Mapping[str, Any]) -> "Transaction":
-        # Shared, not copied — same immutable-wire convention as
-        # Endorsement.from_wire, so the digest of this write-set is
-        # computed from one cached serialization network-wide.
+        """Decode a transaction; once per frozen wire, network-wide.
+
+        A frozen wire keeps the transaction decoded from it, so every
+        organization receiving that wire gets the same (immutable)
+        object, with its digest, operations and signed payloads
+        computed once. A plain wire (tampered, hand-built or loaded
+        from disk) is decoded afresh on every call.
+        """
+        if wire.__class__ is FrozenDict and wire._decoded is not None:
+            return wire._decoded
         transaction = cls(
             proposal=Proposal.from_wire(wire["proposal"]),
             write_set=wire["write_set"],
             endorsements=tuple(Endorsement.from_wire(e) for e in wire["endorsements"]),
             client_signature=wire["client_signature"],
         )
-        if type(wire) is dict:
+        if isinstance(wire, dict):
             object.__setattr__(transaction, "_wire_cache", wire)
+        if wire.__class__ is FrozenDict:
+            wire._decoded = transaction
         return transaction
 
     def wire_size(self) -> int:

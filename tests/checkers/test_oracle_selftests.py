@@ -13,6 +13,8 @@ bug-finding criterion, so each one's FAIL path must be demonstrably
 reachable from genuine state damage.
 """
 
+import pytest
+
 from repro.checkers.report import FAIL
 from repro.contracts import VotingContract
 from repro.core import OrderlessChainNetwork, OrderlessChainSettings
@@ -83,12 +85,19 @@ def test_ledger_integrity_fails_when_history_is_rewritten():
 
 
 def test_policy_safety_fails_when_nested_endorsements_are_truncated():
-    # Mutate the endorsement list *inside* the committed wire (not the
-    # org's dict entry): the oracle must audit the nested content.
+    # Committed wires are frozen, so truncating the endorsement list in
+    # place is impossible by construction. The same injury is planted
+    # as a forged *plain-dict* copy of the committed wire whose nested
+    # endorsement list is cut below the quorum: the oracle must decode
+    # and audit that nested content, not a decode cached elsewhere.
     def injure(net):
         org = net.org("org0")
-        _, wire = next(iter(sorted(org._valid_txn_wire.items())))
-        wire["endorsements"][:] = wire["endorsements"][:1]  # below q=2
+        txn_id, wire = next(iter(sorted(org._valid_txn_wire.items())))
+        with pytest.raises(TypeError):
+            wire["endorsements"][:] = wire["endorsements"][:1]
+        forged = dict(wire)
+        forged["endorsements"] = list(wire["endorsements"][:1])  # below q=2
+        org._valid_txn_wire[txn_id] = forged
 
     report = injured(build(), injure)
     safety = report.result("policy-safety")
